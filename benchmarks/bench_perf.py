@@ -1198,63 +1198,6 @@ def compare_parallel_at(
     return summary
 
 
-def compare_parallel_rerun_at(
-    n: int,
-    answers_per_task: int = 3,
-    shards: int = 4,
-    repeats: int = 3,
-    seed: int = 7,
-) -> Dict[str, object]:
-    """Sharded full-TI rerun vs the in-process solver, same log.
-
-    The sharded solver must converge in the same iteration count and
-    match the in-process result to parallel-reduction rounding.
-    """
-    rng = make_rng(seed)
-    store = WorkerQualityStore(NUM_DOMAINS)
-    for worker_id, quality in _seed_store(rng).items():
-        store.set(worker_id, quality, np.full(NUM_DOMAINS, 2.0))
-    engine = IncrementalTruthInference(store)
-    engine.register_tasks(_make_tasks(n, rng))
-    log = AnswerLog(engine.arena)
-    for task_id in range(n):
-        for j in range(answers_per_task):
-            worker = f"w{(task_id + j) % NUM_WORKERS}"
-            choice = 1 + (task_id * 3 + j) % NUM_CHOICES
-            log.append(Answer(worker, task_id, choice))
-    ti = TruthInference()
-
-    def timed(shard_count: int):
-        times = []
-        result = None
-        for _ in range(repeats):
-            tic = time.perf_counter()
-            result = ti.infer_from_log(log, shards=shard_count)
-            times.append(time.perf_counter() - tic)
-        return result, float(np.min(times))
-
-    base, base_s = timed(0)
-    sharded, sharded_s = timed(shards)
-    if sharded.iterations != base.iterations:
-        raise AssertionError(
-            f"n={n}: sharded rerun converged in {sharded.iterations} "
-            f"iterations vs {base.iterations} in-process"
-        )
-    if not np.allclose(sharded.S, base.S, atol=1e-9):
-        raise AssertionError(
-            f"n={n}: sharded rerun truths diverged from in-process"
-        )
-    return {
-        "num_tasks": n,
-        "answers": len(log),
-        "shards": shards,
-        "iterations": base.iterations,
-        "rerun_s_inprocess": base_s,
-        "rerun_s_sharded": sharded_s,
-        "speedup_rerun": base_s / sharded_s,
-    }
-
-
 def compare_parallel_link_at(
     n: int,
     workers: int = 4,
@@ -1313,16 +1256,6 @@ def _report_parallel(summary: Dict[str, object]) -> None:
     tail = f"{speedups}, picks identical" if speedups else "picks identical"
     print(
         f"parallel n={summary['num_tasks']:>6d}  {per_worker}   ({tail})"
-    )
-
-
-def _report_parallel_rerun(summary: Dict[str, object]) -> None:
-    print(
-        f"p-rerun n={summary['num_tasks']:>6d}  "
-        f"{summary['rerun_s_inprocess']:7.2f} -> "
-        f"{summary['rerun_s_sharded']:7.2f} s   "
-        f"({summary['speedup_rerun']:.2f}x at "
-        f"{summary['shards']} shards)"
     )
 
 
@@ -1480,8 +1413,6 @@ def main(argv=None) -> int:
                 2000, worker_counts=counts, passes=2
             )
             _report_parallel(parallel_summary)
-            rerun_summary = compare_parallel_rerun_at(1000, shards=2)
-            _report_parallel_rerun(rerun_summary)
             link_summary = compare_parallel_link_at(200, workers=2)
             _report_parallel_link(link_summary)
             # Throughput is only gateable with a second core under the
@@ -1507,8 +1438,7 @@ def main(argv=None) -> int:
             "plans, "
             "warm-index assign beats brute force at n=10K with "
             "identical picks, and the parallel plane (pool picks, "
-            "sharded rerun, batch linking) matches its single-process "
-            "oracles"
+            "batch linking) matches its single-process oracles"
         )
         return 0
 
@@ -1570,8 +1500,6 @@ def main(argv=None) -> int:
         serve_points.append(serve_summary)
     parallel_summary = compare_parallel_at(100000)
     _report_parallel(parallel_summary)
-    parallel_rerun = compare_parallel_rerun_at(20000, shards=4)
-    _report_parallel_rerun(parallel_rerun)
     parallel_link = compare_parallel_link_at(10000, workers=4)
     _report_parallel_link(parallel_link)
     payload = {
@@ -1659,12 +1587,10 @@ def main(argv=None) -> int:
                 "of HIT requests served through the multi-process "
                 "ServingPool at 1/2/4 workers, every pick verified "
                 "bit-identical to the single-process AssignmentIndex; "
-                "plus sharded full-TI rerun vs the in-process solver "
-                "and parallel batch linking vs the sequential cached "
+                "plus parallel batch linking vs the sequential cached "
                 "path"
             ),
             "assign": parallel_summary,
-            "rerun": parallel_rerun,
             "link": parallel_link,
         },
     }
@@ -1750,14 +1676,6 @@ def main(argv=None) -> int:
                 f"WARNING: 4-worker assign speedup "
                 f"{parallel_summary['speedup_4w_vs_1w']:.2f}x below "
                 "the 3x target",
-                file=sys.stderr,
-            )
-            failed = True
-        if parallel_rerun["speedup_rerun"] < 1.8:
-            print(
-                f"WARNING: 4-shard rerun speedup "
-                f"{parallel_rerun['speedup_rerun']:.2f}x below the "
-                "1.8x target",
                 file=sys.stderr,
             )
             failed = True

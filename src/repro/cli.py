@@ -77,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "serve from N forked worker processes over a shared-memory "
-            "arena (0 = single-process; >= 2 also shards the full-TI "
-            "reruns and ingest linking N ways; requires fork)"
+            "arena (0 = single-process; >= 2 also fans ingest linking "
+            "out N ways; requires fork)"
         ),
     )
 
@@ -103,8 +103,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help=(
             "serve from N forked worker processes over a shared-memory "
-            "arena (0 = single-process; >= 2 also shards the full-TI "
-            "reruns and ingest linking N ways; requires fork)"
+            "arena (0 = single-process; >= 2 also fans ingest linking "
+            "out N ways; requires fork)"
         ),
     )
     run.add_argument(

@@ -25,12 +25,15 @@ Two entry points share one solver:
   serving-path re-run skips the O(answers) Python re-indexing and the
   domain-vector re-stacking entirely. Both paths feed the solver
   identically-ordered inputs and therefore return identical results.
+
+The solver works over *slots*, the (task, domain) pairs with
+``r_ik != 0``: DVE puts weight only on the domains of a task's linked
+entities, so most of ``R`` is exactly zero and Eqs. 2-5 need only the
+join of answers with their task's slots (see :func:`_run_slot_em`).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -200,26 +203,39 @@ class ArenaInferenceResult:
         }
 
 
-def _scatter_rows(
-    idx: np.ndarray, weights: np.ndarray, num_rows: int
+def _conditional_matrices(
+    row: np.ndarray,
+    col: np.ndarray,
+    table: np.ndarray,
+    valid: np.ndarray,
+    log_incorrect: np.ndarray,
+    log_delta: np.ndarray,
 ) -> np.ndarray:
-    """Row-indexed scatter-add: ``out[idx[i]] += weights[i]``.
+    """Eqs. 3-4 for a block of P rows of ``M``, choice-major: (L, P).
 
-    Column-wise ``np.bincount`` is bit-identical to ``np.add.at`` (both
-    accumulate sequentially in element order) at a fraction of the cost.
+    Each (answer, row) pair ``p`` adds its worker's incorrect-answer
+    log-likelihood ``log_incorrect[table[p]]`` to every column of row
+    ``row[p]``, and the correct-minus-incorrect log ratio
+    ``log_delta[table[p]]`` to the answered entry ``col[p]`` of the
+    flat (L, P) block. Pairs are arrival-major, so each row sums in
+    arrival order. Choice-major keeps the softmax's sum over choices
+    in ascending column order — the order the (n, m, L) formulation
+    sums in — for every choice count.
     """
-    out = np.empty((num_rows, weights.shape[1]))
-    for k in range(weights.shape[1]):
-        out[:, k] = np.bincount(
-            idx, weights=weights[:, k], minlength=num_rows
-        )
-    return out
+    ell_max, P = valid.shape
+    base = np.bincount(row, weights=log_incorrect[table], minlength=P)
+    answered = np.bincount(
+        col, weights=log_delta[table], minlength=ell_max * P
+    ).reshape(ell_max, P)
+    logM = np.where(valid, base + answered, -np.inf)
+    logM -= logM.max(axis=0)
+    expM = np.exp(logM)
+    return expM / expM.sum(axis=0)
 
 
-def _run_em(
+def _run_slot_em(
     R: np.ndarray,
     ells: np.ndarray,
-    valid: np.ndarray,
     a_task: np.ndarray,
     a_worker: np.ndarray,
     a_choice: np.ndarray,
@@ -227,92 +243,104 @@ def _run_em(
     max_iterations: int,
     tolerance: float,
     track_delta: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[float], int]:
-    """The Section 4.1 iteration on prepared index arrays.
+) -> Tuple[
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[float], int
+]:
+    """The Section 4.1 iteration over the nonzero support of ``R``.
 
-    Everything that is constant across iterations — the per-answer
-    domain-vector gather, the Eq. 5 denominator, the flat (task, column)
-    scatter index, the per-choice-count answer partition — is hoisted
-    out of the loop; per-worker log tables replace per-answer logs.
-    Each transformation preserves the operation order on identical
-    values, so results are bit-identical to the original formulation.
+    A *slot* is a (task, domain) pair with ``r_ik != 0``. A zero
+    ``r_ik`` adds exactly ``+0.0`` to Eq. 2's sum and to both sums of
+    Eq. 5, so each iteration evaluates Eqs. 3-5 over slots only, in
+    time proportional to the (answer, slot) join rather than to
+    n x m x L. Every sum keeps the element order of the dense
+    formulation — answers in arrival order, domains ascending, choices
+    left to right — so results are bit-identical to it;
+    :func:`repro.core.reference.reference_infer` agrees bit for bit
+    below 8 choices (from 8 on, its Eq. 4 normaliser is a pairwise
+    NumPy sum). The rows of ``M`` off the support never feed back into
+    the iteration; they are evaluated once at the end, from the
+    qualities the last Step 1 used.
 
     Args:
         R: (n, m) domain vectors of the answered tasks.
-        ells: (n,) choice counts; ``valid`` is the (n, L) column mask.
+        ells: (n,) choice counts.
         a_task / a_worker / a_choice: per-answer row indices (choice
             0-based), arrival-ordered.
         Q: (W, m) initial qualities (mutated-by-replacement inside).
 
     Returns:
-        (S, M, Q, delta_history, iterations).
+        (S, M, Q, weights, delta_history, iterations); ``weights`` is
+        the Eq. 5 denominator, i.e. the Theorem 1 weights ``u^w``.
     """
-    n, ell_max = valid.shape
-    W, m = Q.shape
-    A = a_task.shape[0]
-    a_ell = ells[a_task]
+    n, m = R.shape
+    W = Q.shape[0]
+    ell_max = int(ells.max())
+    choices = np.arange(ell_max)[:, None]
 
-    # ---- Iteration-invariant precomputation --------------------------
-    Ra = R[a_task]                                           # (A, m)
-    flat_cols = a_task * ell_max + a_choice                  # (A,)
-    denominator = _scatter_rows(a_worker, Ra, W)             # (W, m)
-    q_mask = denominator > 0
-    #: Answers partitioned by their task's choice count, so per-answer
-    #: log-likelihood terms can be built from (W, m) per-worker tables.
-    ell_groups = [
-        (int(e), np.flatnonzero(a_ell == e))
-        for e in np.unique(a_ell)
+    # ---- Iteration-invariant layout ----------------------------------
+    # Answers partitioned by their task's choice count: Eq. 4's
+    # log-likelihood tables are built per (ell group, worker, domain).
+    group_ells, a_group = np.unique(ells[a_task], return_inverse=True)
+    a_table = (a_group * W + a_worker) * m
+    # Slots in row-major order; (answer, slot) pairs arrival-major,
+    # ascending domain within an answer.
+    support = R != 0
+    slot_task, slot_domain = np.nonzero(support)
+    P = slot_task.size
+    slot_valid = choices < ells[slot_task]                   # (L, P)
+    slot_r = R[slot_task, slot_domain]
+    s_bins = (slot_task * ell_max + choices).ravel()
+    pair_answer, pair_domain = np.divmod(
+        np.flatnonzero(support[a_task]), m
+    )
+    pair_slot = (np.cumsum(support.ravel()) - 1)[
+        a_task[pair_answer] * m + pair_domain
     ]
+    pair_col = a_choice[pair_answer] * P + pair_slot
+    pair_table = a_table[pair_answer] + pair_domain
+    pair_r = slot_r[pair_slot]
+    pair_wk = a_worker[pair_answer] * m + pair_domain
+    #: Flat index of each pair's answered entry ``s_{i, v}`` in S.
+    pair_s = (a_task * ell_max + a_choice)[pair_answer]
+    denominator = np.bincount(
+        pair_wk, weights=pair_r, minlength=W * m
+    ).reshape(W, m)
+    q_mask = denominator > 0
 
-    S = np.where(valid, 1.0, 0.0)
+    S = np.where(choices.T < ells[:, None], 1.0, 0.0)
     S = S / S.sum(axis=1, keepdims=True)                     # (n, L)
-    M = np.zeros((n, m, ell_max))
 
     delta_history: List[float] = []
     iterations_run = 0
     for _ in range(max_iterations):
         iterations_run += 1
-        S_prev = S.copy()
-        Q_prev = Q.copy()
+        S_prev = S
+        Q_prev = Q
 
-        # Step 1 (q -> s): accumulate Eq. 3's log numerators. The
-        # per-answer log terms are gathered from per-(worker, l) tables.
+        # Step 1 (q -> s): Eqs. 3-4 per slot, then Eq. 2 summed over
+        # each task's slots in ascending domain order.
         Qc = np.clip(Q, QUALITY_FLOOR, QUALITY_CEIL)
         log_correct = np.log(Qc)                             # (W, m)
-        if len(ell_groups) == 1:
-            li = np.log((1.0 - Qc) / (ell_groups[0][0] - 1))  # (W, m)
-            log_incorrect_a = li[a_worker]
-            delta_a = (log_correct - li)[a_worker]
-        else:
-            log_incorrect_a = np.empty((A, m))
-            delta_a = np.empty((A, m))
-            for ell_value, sel in ell_groups:
-                li = np.log((1.0 - Qc) / (ell_value - 1))
-                log_incorrect_a[sel] = li[a_worker[sel]]
-                delta_a[sel] = (log_correct - li)[a_worker[sel]]
+        incorrect = np.stack(
+            [np.log((1.0 - Qc) / (int(e) - 1)) for e in group_ells]
+        )                                                    # (G, W, m)
+        log_incorrect = incorrect.ravel()
+        log_delta = (log_correct - incorrect).ravel()
+        M_slots = _conditional_matrices(
+            pair_slot, pair_col, pair_table, slot_valid,
+            log_incorrect, log_delta,
+        )                                                    # (L, P)
+        S = np.bincount(
+            s_bins, weights=(M_slots * slot_r).ravel(),
+            minlength=n * ell_max,
+        ).reshape(n, ell_max)
 
-        base = _scatter_rows(a_task, log_incorrect_a, n)     # (n, m)
-        col_buffer = _scatter_rows(flat_cols, delta_a, n * ell_max)
-        # logM[t, k, j] = base[t, k] + the answered-column deltas.
-        logM = base[:, :, None] + col_buffer.reshape(
-            n, ell_max, m
-        ).transpose(0, 2, 1)
-        logM = np.where(valid[:, None, :], logM, -np.inf)
-        logM -= logM.max(axis=2, keepdims=True)
-        expM = np.exp(logM)
-        M = expM / expM.sum(axis=2, keepdims=True)
-        # The broadcast against the transposed column view above leaves
-        # everything in (n, l, m)-major layout, which is fastest for the
-        # elementwise chain — but einsum's contraction order follows
-        # strides, so normalise the layout before it (values unchanged).
-        M = np.ascontiguousarray(M)
-        S = np.einsum("nm,nml->nl", R, M)
-
-        # Step 2 (s -> q): Eq. 5 as scatter-adds over workers.
-        s_at_choice = S[a_task, a_choice]                    # (A,)
-        numerator = _scatter_rows(
-            a_worker, Ra * s_at_choice[:, None], W
-        )
+        # Step 2 (s -> q): Eq. 5 over (worker, domain) bins.
+        numerator = np.bincount(
+            pair_wk,
+            weights=pair_r * S.ravel()[pair_s],
+            minlength=W * m,
+        ).reshape(W, m)
         Q = np.where(q_mask, np.divide(
             numerator, denominator, out=np.zeros_like(numerator),
             where=q_mask,
@@ -321,227 +349,32 @@ def _run_em(
         if track_delta or tolerance > 0:
             truth_change = float(
                 (np.abs(S - S_prev).sum(axis=1) / ells).mean()
-            ) if n else 0.0
-            quality_change = (
-                float(np.abs(Q - Q_prev).mean()) if W else 0.0
             )
+            quality_change = float(np.abs(Q - Q_prev).mean())
             delta = truth_change + quality_change
             delta_history.append(delta)
             if delta < tolerance:
                 break
 
-    return S, M, Q, delta_history, iterations_run
-
-
-class _ShardFailure(Exception):
-    """A rerun shard process died; the caller falls back in-process."""
-
-
-def _em_shard_worker(
-    conn,
-    R: np.ndarray,
-    ells: np.ndarray,
-    valid: np.ndarray,
-    a_task: np.ndarray,
-    a_worker: np.ndarray,
-    a_choice: np.ndarray,
-    W: int,
-) -> None:
-    """One rerun shard: Step 1 over a contiguous task slice.
-
-    Protocol (parent drives): receive ``Q`` -> run Step 1 on the
-    shard's tasks -> reply ``(partial Step-2 numerator, partial truth
-    delta)``; receive ``None`` -> reply the final ``(S, M)`` blocks and
-    exit. Step 1 is task-local given ``Q``, so the shard math is the
-    exact :func:`_run_em` Step 1 on the slice.
-    """
-    from repro.platform import faults
-
-    try:
-        faults.fire("parallel.rerun.shard")
-        n, ell_max = valid.shape
-        A = a_task.shape[0]
-        m = R.shape[1]
-        a_ell = ells[a_task]
-        Ra = R[a_task]
-        flat_cols = a_task * ell_max + a_choice
-        ell_groups = [
-            (int(e), np.flatnonzero(a_ell == e))
-            for e in np.unique(a_ell)
-        ]
-        S = np.where(valid, 1.0, 0.0)
-        if n:
-            S = S / S.sum(axis=1, keepdims=True)
-        M = np.zeros((n, m, ell_max))
-        while True:
-            Q = conn.recv()
-            if Q is None:
-                conn.send((S, M))
-                conn.close()
-                return
-            S_prev = S.copy()
-            Qc = np.clip(Q, QUALITY_FLOOR, QUALITY_CEIL)
-            log_correct = np.log(Qc)
-            if len(ell_groups) == 1:
-                li = np.log((1.0 - Qc) / (ell_groups[0][0] - 1))
-                log_incorrect_a = li[a_worker]
-                delta_a = (log_correct - li)[a_worker]
-            else:
-                log_incorrect_a = np.empty((A, m))
-                delta_a = np.empty((A, m))
-                for ell_value, sel in ell_groups:
-                    li = np.log((1.0 - Qc) / (ell_value - 1))
-                    log_incorrect_a[sel] = li[a_worker[sel]]
-                    delta_a[sel] = (log_correct - li)[a_worker[sel]]
-            base = _scatter_rows(a_task, log_incorrect_a, n)
-            col_buffer = _scatter_rows(flat_cols, delta_a, n * ell_max)
-            logM = base[:, :, None] + col_buffer.reshape(
-                n, ell_max, m
-            ).transpose(0, 2, 1)
-            logM = np.where(valid[:, None, :], logM, -np.inf)
-            logM -= logM.max(axis=2, keepdims=True)
-            expM = np.exp(logM)
-            M = expM / expM.sum(axis=2, keepdims=True)
-            M = np.ascontiguousarray(M)
-            S = np.einsum("nm,nml->nl", R, M)
-            s_at_choice = S[a_task, a_choice]
-            numerator = _scatter_rows(
-                a_worker, Ra * s_at_choice[:, None], W
-            )
-            truth_partial = (
-                float((np.abs(S - S_prev).sum(axis=1) / ells).sum())
-                if n
-                else 0.0
-            )
-            conn.send((numerator, truth_partial))
-    except Exception:
-        # Injected crashes and real shard failures look the same to the
-        # parent: a dead pipe. Exit quietly; the parent falls back.
-        try:
-            conn.close()
-        finally:
-            sys.exit(1)
-
-
-def _run_em_sharded(
-    R: np.ndarray,
-    ells: np.ndarray,
-    valid: np.ndarray,
-    a_task: np.ndarray,
-    a_worker: np.ndarray,
-    a_choice: np.ndarray,
-    Q: np.ndarray,
-    max_iterations: int,
-    tolerance: float,
-    track_delta: bool,
-    shards: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[float], int]:
-    """:func:`_run_em` fanned across a process pool by task slice.
-
-    Tasks are partitioned into ``shards`` contiguous slices; each shard
-    process owns Step 1 (task-local) for its slice and returns the
-    Step-2 scatter *partials*, which the parent merges in shard order
-    against the globally precomputed Eq. 5 denominator. Shard processes
-    are forked, so the (read-only) index arrays are inherited without
-    copies; per-iteration traffic is one (W, m) quality broadcast down
-    and one (W, m) partial numerator up per shard.
-
-    Numerics: each Step 1 runs the exact single-process operations on
-    its slice, but the Step-2 numerator is a sum of per-shard partial
-    scatters whose floating-point accumulation order differs from the
-    flat scatter. Qualities — and through the Q feedback, ``S``/``M``
-    on later iterations — therefore match the in-process solver to
-    accumulation-order rounding (the caveat any parallel reduction
-    carries), not bit-for-bit.
-
-    Raises:
-        _ShardFailure: a shard process died (crash fault, OOM-kill);
-            the caller retries in-process.
-    """
-    n, ell_max = valid.shape
-    W, m = Q.shape
-    ctx = multiprocessing.get_context("fork")
-    bounds = np.linspace(0, n, shards + 1).astype(np.int64)
-    children: List[Tuple[object, object]] = []
-    try:
-        for index in range(shards):
-            lo, hi = int(bounds[index]), int(bounds[index + 1])
-            sel = np.flatnonzero((a_task >= lo) & (a_task < hi))
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=_em_shard_worker,
-                args=(
-                    child_conn,
-                    R[lo:hi],
-                    ells[lo:hi],
-                    valid[lo:hi],
-                    a_task[sel] - lo,
-                    a_worker[sel],
-                    a_choice[sel],
-                    W,
-                ),
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            children.append((process, parent_conn))
-
-        denominator = _scatter_rows(a_worker, R[a_task], W)
-        q_mask = denominator > 0
-        delta_history: List[float] = []
-        iterations_run = 0
-        try:
-            for _ in range(max_iterations):
-                iterations_run += 1
-                Q_prev = Q.copy()
-                for _, conn in children:
-                    conn.send(Q)
-                numerator = np.zeros((W, m))
-                truth_sum = 0.0
-                for _, conn in children:
-                    partial, truth_partial = conn.recv()
-                    numerator = numerator + partial
-                    truth_sum += truth_partial
-                Q = np.where(q_mask, np.divide(
-                    numerator, denominator, out=np.zeros_like(numerator),
-                    where=q_mask,
-                ), Q)
-                if track_delta or tolerance > 0:
-                    truth_change = truth_sum / n if n else 0.0
-                    quality_change = (
-                        float(np.abs(Q - Q_prev).mean()) if W else 0.0
-                    )
-                    delta = truth_change + quality_change
-                    delta_history.append(delta)
-                    if delta < tolerance:
-                        break
-            S_parts: List[np.ndarray] = []
-            M_parts: List[np.ndarray] = []
-            for _, conn in children:
-                conn.send(None)
-            for _, conn in children:
-                S_shard, M_shard = conn.recv()
-                S_parts.append(S_shard)
-                M_parts.append(M_shard)
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            raise _ShardFailure(str(exc)) from exc
-        S = np.concatenate(S_parts) if S_parts else np.zeros((0, ell_max))
-        M = (
-            np.concatenate(M_parts)
-            if M_parts
-            else np.zeros((0, m, ell_max))
-        )
-        return S, M, Q, delta_history, iterations_run
-    finally:
-        for process, conn in children:
-            try:
-                conn.close()
-            except OSError:
-                pass
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - hang guard
-                process.terminate()
-                process.join(timeout=5.0)
+    # With every r_ik nonzero, the slots are all n * m rows in order.
+    M_rows = M_slots
+    if P < n * m:
+        # Off-support rows: every row from the last Step 1's tables,
+        # over every (answer, domain) pair.
+        domains = np.arange(m)
+        rows = (a_task * m)[:, None] + domains               # (A, m)
+        M_rows = _conditional_matrices(
+            rows.ravel(),
+            (rows + (a_choice * (n * m))[:, None]).ravel(),
+            (a_table[:, None] + domains).ravel(),
+            choices < np.repeat(ells, m),
+            log_incorrect,
+            log_delta,
+        )                                                    # (L, n * m)
+    M = np.ascontiguousarray(
+        M_rows.reshape(ell_max, n, m).transpose(1, 2, 0)
+    )
+    return S, M, Q, denominator, delta_history, iterations_run
 
 
 class TruthInference:
@@ -618,9 +451,8 @@ class TruthInference:
             )
 
         # ---- Vectorised layout -----------------------------------------
-        # Only answered tasks participate in the iterations. Columns are
-        # padded to the maximum choice count; invalid columns are masked
-        # with -inf log-numerators so they carry zero probability.
+        # Only answered tasks participate in the iterations; the solver
+        # pads columns to the maximum choice count.
         answered_ids: List[int] = list(by_task.keys())
         if not answered_ids:
             return TruthInferenceResult(
@@ -630,7 +462,6 @@ class TruthInference:
                 worker_weights={},
             )
         tid_to_row = {tid: row for row, tid in enumerate(answered_ids)}
-        n = len(answered_ids)
         worker_ids: List[str] = list(by_worker.keys())
         wid_to_row = {wid: row for row, wid in enumerate(worker_ids)}
         W = len(worker_ids)
@@ -639,8 +470,6 @@ class TruthInference:
             [task_index[tid].num_choices for tid in answered_ids],
             dtype=np.int64,
         )
-        ell_max = int(ells.max()) if n else 0
-        valid = np.arange(ell_max)[None, :] < ells[:, None]     # (n, L)
         R = np.stack([domain_vectors[tid] for tid in answered_ids])  # (n, m)
 
         a_task = np.array(
@@ -650,13 +479,20 @@ class TruthInference:
             [wid_to_row[a.worker_id] for a in answers], dtype=np.int64
         )
         a_choice = np.array([a.choice - 1 for a in answers], dtype=np.int64)
+        out_of_range = np.flatnonzero(a_choice >= ells[a_task])
+        if out_of_range.size:
+            answer = answers[int(out_of_range[0])]
+            raise ValidationError(
+                f"choice {answer.choice} outside "
+                f"[1, {task_index[answer.task_id].num_choices}] for task "
+                f"{answer.task_id}"
+            )
 
         Q = self._initial_q(W, m, worker_ids, initial_qualities)
 
-        S, M, Q, delta_history, iterations_run = _run_em(
+        S, M, Q, weights, delta_history, iterations_run = _run_slot_em(
             R,
             ells,
-            valid,
             a_task,
             a_worker,
             a_choice,
@@ -674,15 +510,15 @@ class TruthInference:
             tid: M[row, :, : ells[row]].copy()
             for tid, row in tid_to_row.items()
         }
-        qualities = {wid: Q[row].copy() for wid, row in wid_to_row.items()}
 
         return TruthInferenceResult(
             probabilistic_truths=truths,
             truth_matrices=matrices,
-            worker_qualities=qualities,
+            worker_qualities={
+                wid: Q[row].copy() for wid, row in wid_to_row.items()
+            },
             worker_weights={
-                worker_id: _worker_weights(worker_answers, domain_vectors)
-                for worker_id, worker_answers in by_worker.items()
+                wid: weights[row].copy() for wid, row in wid_to_row.items()
             },
             delta_history=delta_history,
             iterations=iterations_run,
@@ -693,7 +529,6 @@ class TruthInference:
         log: AnswerLog,
         initial_qualities: Optional[Mapping[str, np.ndarray]] = None,
         track_delta: bool = True,
-        shards: int = 0,
     ) -> ArenaInferenceResult:
         """Run TI over an arena-backed append-only answer log.
 
@@ -706,13 +541,6 @@ class TruthInference:
             log: the :class:`repro.core.arena.AnswerLog` to infer from.
             initial_qualities: as in :meth:`infer`.
             track_delta: as in :meth:`infer`.
-            shards: fan the solver across this many forked shard
-                processes (:func:`_run_em_sharded`); ``0``/``1`` — or a
-                pool too small to split, a platform without ``fork``,
-                or a mid-run shard death — run (or fall back)
-                in-process. Results match the in-process solver to
-                parallel-reduction rounding (see
-                :func:`_run_em_sharded`).
 
         Returns:
             An :class:`ArenaInferenceResult` (empty when no answers).
@@ -736,49 +564,23 @@ class TruthInference:
         # order (the same row order `infer` derives from answer lists).
         inverse = np.empty(len(arena), dtype=np.int64)
         inverse[task_rows] = np.arange(n)
-        a_task = inverse[log.task_rows]
-        a_worker = log.worker_rows
-        a_choice = log.choices
-
         R = arena.domain_matrix()[task_rows]                    # (n, m)
         ells = arena.choice_counts()[task_rows]
-        ell_max = int(ells.max())
-        valid = np.arange(ell_max)[None, :] < ells[:, None]
 
         worker_ids = log.worker_ids
         Q = self._initial_q(len(worker_ids), m, worker_ids, initial_qualities)
 
-        em_args = (
+        S, M, Q, weights, delta_history, iterations_run = _run_slot_em(
             R,
             ells,
-            valid,
-            a_task,
-            a_worker,
-            a_choice,
+            inverse[log.task_rows],
+            log.worker_rows,
+            log.choices,
             Q,
             self._max_iterations,
             self._tolerance,
             track_delta,
         )
-        use_shards = (
-            shards > 1
-            and n >= 2 * shards
-            and "fork" in multiprocessing.get_all_start_methods()
-        )
-        if use_shards:
-            try:
-                S, M, Q, delta_history, iterations_run = _run_em_sharded(
-                    *em_args, shards
-                )
-            except _ShardFailure:
-                # A shard died mid-rerun (injected crash, kill). The
-                # rerun is a pure function of the log — degrade to the
-                # in-process solver rather than surfacing a fault.
-                S, M, Q, delta_history, iterations_run = _run_em(*em_args)
-        else:
-            S, M, Q, delta_history, iterations_run = _run_em(*em_args)
-
-        weights = _scatter_rows(a_worker, R[a_task], len(worker_ids))
 
         return ArenaInferenceResult(
             task_rows=task_rows,
@@ -816,14 +618,3 @@ class TruthInference:
                     Q[row] = q
         return Q
 
-
-def _worker_weights(
-    worker_answers: Sequence[Answer],
-    domain_vectors: Mapping[int, np.ndarray],
-) -> np.ndarray:
-    """``u^w_k = sum_{t_i in T(w)} r_ik`` (Section 4.2)."""
-    first = next(iter(domain_vectors.values()))
-    weights = np.zeros_like(first)
-    for answer in worker_answers:
-        weights += domain_vectors[answer.task_id]
-    return weights

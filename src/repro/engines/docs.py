@@ -475,11 +475,6 @@ class DocsEngine(Engine):
         workers = self._config.workers
         return workers if workers >= 2 else 0
 
-    def rerun_shards(self) -> int:
-        """Full-TI rerun shard count (``0`` below two workers)."""
-        workers = self._config.workers
-        return workers if workers >= 2 else 0
-
     # -- parallel-plane lifecycle ---------------------------------------
 
     @contextmanager
@@ -804,11 +799,7 @@ class DocsEngine(Engine):
         initial = dict(self._golden_qualities)
         # The append-only log already holds the solver's index arrays;
         # no answer re-indexing or domain-vector re-stacking per re-run.
-        result = ti.infer_from_log(
-            self._log,
-            initial_qualities=initial,
-            shards=self.rerun_shards(),
-        )
+        result = ti.infer_from_log(self._log, initial_qualities=initial)
         self._incremental.resync_from_arena_result(
             result, precision=self._config.serve_resync_precision
         )

@@ -79,10 +79,9 @@ FAULT_POINTS = frozenset(
         "worker_store.apply_delta",
         # Parallel serving plane (PR 7). Armed pre-fork, these fire in
         # the child process (the injector state is fork-inherited) and
-        # surface to the parent as a dead worker/shard — exercising the
+        # surface to the parent as a dead worker — exercising the
         # degradation paths, not exception plumbing.
         "parallel.worker.serve",
-        "parallel.rerun.shard",
         "parallel.link.worker",
     }
 )

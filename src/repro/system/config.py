@@ -84,8 +84,7 @@ class DocsConfig:
             and serves arrivals from a
             :class:`repro.system.parallel.ServingPool` of this many
             worker processes (picks bit-identical at every count);
-            ``>= 2`` additionally fans the every-z full-TI rerun across
-            this many shard processes and stage-1 ingest linking across
+            ``>= 2`` additionally fans stage-1 ingest linking across
             this many link workers. Requires the ``fork`` start method
             (Linux/macOS); needs ``serve_index``.
         serve_resync_precision: full-TI resyncs skip re-stamping arena

@@ -1052,9 +1052,7 @@ class DocsSystem:
             config: configuration for the resumed system; must match
                 the original run's engine and inference knobs
                 (``rerun_interval``, ``default_quality``,
-                ``ti_max_iterations`` — and ``workers``, whose rerun
-                shard count fixes the full TI's floating-point
-                accumulation order) for the replay to reproduce it
+                ``ti_max_iterations``) for the replay to reproduce it
                 exactly.
             kb: optional knowledge base, re-attached to the ingest
                 pipeline so :meth:`add_tasks` can link *new* task texts

@@ -237,6 +237,21 @@ class TestValidation:
         with pytest.raises(ValidationError):
             TruthInference().infer([], [])
 
+    @pytest.mark.parametrize("choice", [3, 5])
+    def test_choice_beyond_its_tasks_ell_rejected(self, choice):
+        """A choice past the task's own ell must not slip through
+        because another task has more choices (choice 3 <= max ell 4),
+        nor surface as an IndexError (choice 5 > max ell)."""
+        tasks = [
+            Task(task_id=0, text="a", num_choices=4,
+                 domain_vector=np.array([1.0, 0.0])),
+            Task(task_id=1, text="b", num_choices=2,
+                 domain_vector=np.array([1.0, 0.0])),
+        ]
+        answers = [Answer("v", 0, 2), Answer("w", 1, choice)]
+        with pytest.raises(ValidationError, match=rf"choice {choice}.*task 1"):
+            TruthInference().infer(tasks, answers)
+
     def test_empty_answers_ok(self, simple_tasks):
         result = TruthInference().infer(simple_tasks, [])
         assert result.probabilistic_truths == {}

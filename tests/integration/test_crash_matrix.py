@@ -56,7 +56,6 @@ DEDICATED = {
     "db.connect",
     "worker_store.apply_delta",
     "parallel.worker.serve",
-    "parallel.rerun.shard",
     "parallel.link.worker",
 }
 

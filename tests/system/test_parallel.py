@@ -11,7 +11,7 @@ Three layers of guarantees:
    workers out of the arena while the owner writes, and selects pick up
    the writes afterwards.
 3. **Degradation** — this file owns the dedicated scenarios for the
-   three ``parallel.*`` fault points the crash matrix delegates here
+   two ``parallel.*`` fault points the crash matrix delegates here
    (``tests/integration/test_crash_matrix.py``, ``DEDICATED``): armed
    pre-fork, each point kills a child process, and the parent degrades
    to the single-process path with identical outputs — no exception
@@ -271,7 +271,7 @@ def _drive_campaign(system, dataset, arrivals=12):
 
 class TestCampaignEquivalence:
     def test_single_worker_campaign_is_bit_identical(self, dataset):
-        """workers=1 (shared arena + pool, no sharded rerun) replays
+        """workers=1 (shared arena + pool) replays
         workers=0 exactly — mid-campaign full-TI reruns included."""
         records = {}
         truths = {}
@@ -289,9 +289,9 @@ class TestCampaignEquivalence:
         assert shm_leaks() == []
 
     def test_two_worker_campaign_matches_picks_and_truths(self, dataset):
-        """workers=2 adds sharded reruns/linking; picks stay identical
-        (every pool worker's index is exact) and the finalize truths
-        agree (the sharded solver matches to reduction rounding)."""
+        """workers=2 adds parallel linking; picks stay identical
+        (every pool worker's index is exact) and so do the finalize
+        truths."""
         records = {}
         truths = {}
         for workers in (0, 2):
@@ -383,55 +383,6 @@ class TestWorkerServeCrash:
             )
             victim.close()
         reference.close()
-        assert shm_leaks() == []
-
-
-class TestRerunShardCrash:
-    def _engine_and_log(self):
-        engine = _make_engine(seed=6)
-        log = AnswerLog(engine.arena)
-        rng = make_rng(60)
-        seen = set()
-        for _ in range(50):
-            task_id = int(rng.integers(30))
-            worker = f"w{int(rng.integers(NUM_WORKERS))}"
-            if (worker, task_id) in seen:
-                continue
-            seen.add((worker, task_id))
-            ell = engine.arena.view(task_id).num_choices
-            log.append(
-                Answer(worker, task_id, int(rng.integers(1, ell + 1)))
-            )
-        return engine, log
-
-    def test_sharded_rerun_matches_in_process_solver(self):
-        engine, log = self._engine_and_log()
-        ti = TruthInference(max_iterations=10)
-        base = ti.infer_from_log(log)
-        sharded = ti.infer_from_log(log, shards=2)
-        assert sharded.iterations == base.iterations
-        np.testing.assert_allclose(sharded.S, base.S, atol=1e-12)
-        np.testing.assert_allclose(sharded.M, base.M, atol=1e-12)
-        np.testing.assert_allclose(
-            sharded.qualities, base.qualities, atol=1e-12
-        )
-
-    def test_dead_shard_degrades_to_exact_in_process_result(self):
-        """``parallel.rerun.shard``: a shard killed mid-rerun degrades
-        the whole rerun to the in-process solver — output bit-identical
-        to ``shards=0``, no exception, no leak."""
-        engine, log = self._engine_and_log()
-        ti = TruthInference(max_iterations=10)
-        base = ti.infer_from_log(log)
-        with faults.injected() as injector:
-            injector.arm("parallel.rerun.shard", "crash", times=-1)
-            degraded = ti.infer_from_log(log, shards=2)
-        assert degraded.iterations == base.iterations
-        np.testing.assert_array_equal(degraded.S, base.S)
-        np.testing.assert_array_equal(degraded.M, base.M)
-        np.testing.assert_array_equal(
-            degraded.qualities, base.qualities
-        )
         assert shm_leaks() == []
 
 
